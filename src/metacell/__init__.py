@@ -6,13 +6,12 @@ reflection spectra; notch features of those spectra feed a from-scratch
 dense network that learns the inverse map back to the 48-bit code.
 """
 
-from .estimator import MetasurfaceDesigner, TrainingDivergedError
+from .estimator import MetasurfaceDesigner, NotFittedError, TrainingDivergedError
 from .features import DesignTarget, NotchFeature, assemble_input, extract_notches, target_of_cell
 from .geometry import UnitCell, compose, decode_bits, decode_soft, encode_bits, render, tile_pattern
 from .network import AdamState, Network, load_checkpoint, mse, save_checkpoint
-from .pipeline import TrainConfig, evaluate, generate_dataset, split, train, verify_design
+from .pipeline import evaluate, generate_dataset, split, verify_design
 from .surrogate import Polarization, ReflectionSpectrum, notch_params, reflection_spectrum
-from .validation import NotFittedError
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,6 @@ __all__ = [
     "NotchFeature",
     "Polarization",
     "ReflectionSpectrum",
-    "TrainConfig",
     "TrainingDivergedError",
     "UnitCell",
     "assemble_input",
@@ -45,6 +43,5 @@ __all__ = [
     "split",
     "target_of_cell",
     "tile_pattern",
-    "train",
     "verify_design",
 ]

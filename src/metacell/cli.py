@@ -17,11 +17,10 @@ import time
 import numpy as np
 
 from . import pipeline
-from .estimator import TrainingDivergedError
+from .estimator import MetasurfaceDesigner, TrainingDivergedError, design
 from .features import target_from_dict, target_of_cell
 from .geometry import N_BITS, UnitCell, decode_bits, encode_bits, render
 from .network import CheckpointError, load_checkpoint, save_checkpoint
-from .pipeline import TrainConfig
 from .surrogate import Polarization, reflection_spectrum, spectra_csv
 
 
@@ -84,22 +83,33 @@ def cmd_gen(parser, args):
     return 0
 
 
+def _report_csv(designer):
+    """Per-epoch training MSE, validation MSE and validation per-bit accuracy."""
+    lines = ["epoch,train_mse,test_mse,per_bit_acc"]
+    series = zip(designer.train_mse_, designer.val_mse_, designer.val_accuracy_)
+    for i, (a, b, c) in enumerate(series, start=1):
+        lines.append(f"{i},{a:.8f},{b:.8f},{c:.6f}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_train(parser, args):
     _require_readable(parser, args.dataset, "--dataset")
     _require_writable(parser, args.model_out, "--model-out")
     _require_writable(parser, args.report_out, "--report-out")
     records, _ = pipeline.load_dataset(args.dataset)
-    config = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                         dropout=args.dropout, split=args.split,
-                         seed=args.seed, patience=args.patience)
-    train_set, test_set = pipeline.split(records, ratio=config.split, seed=config.seed)
-    network, report = pipeline.train(train_set, test_set, config)
-    _write_atomic(args.model_out, save_checkpoint(network))
-    report.checkpoint_path = args.model_out
-    _write_atomic(args.report_out, report.to_csv())
-    metrics = pipeline.evaluate(network, test_set)
-    print(f"trained {len(report.train_mse)} epochs in {report.wall_clock_sec:.1f} s "
-          f"(best epoch {report.best_epoch + 1})")
+    train_set, test_set = pipeline.split(records, ratio=args.split, seed=args.seed)
+    if not train_set or not test_set:
+        raise ValueError("train and test sets must be non-empty")
+    X, Y = pipeline.stack_records(train_set)
+    designer = MetasurfaceDesigner(epochs=args.epochs, learning_rate=args.lr,
+                                   dropout=args.dropout, seed=args.seed,
+                                   patience=args.patience)
+    designer.fit(X, Y, validation=pipeline.stack_records(test_set))
+    _write_atomic(args.model_out, save_checkpoint(designer.network_))
+    _write_atomic(args.report_out, _report_csv(designer))
+    metrics = pipeline.evaluate(designer.network_, test_set)
+    print(f"trained {len(designer.train_mse_)} epochs in {designer.fit_seconds_:.1f} s "
+          f"(best epoch {designer.best_epoch_ + 1})")
     for key in ("per_bit_accuracy", "per_slot_accuracy", "exact_cell_rate", "mse"):
         print(f"{key}={metrics[key]:.6f}")
     return 0
@@ -107,20 +117,15 @@ def cmd_train(parser, args):
 
 def cmd_eval(parser, args):
     _require_readable(parser, args.dataset, "--dataset")
-    if not args.oracle_stub:
-        _require_readable(parser, args.model, "--model")
+    _require_readable(parser, args.model, "--model")
     records, _ = pipeline.load_dataset(args.dataset)
-    labels = np.stack([r.label for r in records]).astype(float)
-    if args.oracle_stub:
-        metrics = pipeline.prediction_metrics(labels, labels)
-    else:
-        network, _ = _load_model(args.model)
-        width = len(records[0].input)
-        if network.input_width != width:
-            raise ValueError(
-                f"model expects {network.input_width}-wide inputs but dataset "
-                f"records have {width}")
-        metrics = pipeline.evaluate(network, records)
+    network, _ = _load_model(args.model)
+    width = len(records[0].input)
+    if network.input_width != width:
+        raise ValueError(
+            f"model expects {network.input_width}-wide inputs but dataset "
+            f"records have {width}")
+    metrics = pipeline.evaluate(network, records)
     print(f"per_bit={metrics['per_bit_accuracy']:.6f}")
     print(f"per_slot={metrics['per_slot_accuracy']:.6f}")
     print(f"exact_cell={metrics['exact_cell_rate']:.6f}")
@@ -140,7 +145,7 @@ def cmd_infer(parser, args):
     target = target_from_dict(doc)
     network, _ = _load_model(args.model)
     started = time.perf_counter()
-    cell = pipeline.design(network, target)
+    cell = design(network, target)
     elapsed = time.perf_counter() - started
     bits = "".join(str(int(b)) for b in encode_bits(cell))
     tiles = ",".join(str(t) for t in cell.tiles)
@@ -195,23 +200,22 @@ def build_parser():
     p.add_argument("--out", required=True, help="dataset file to write")
     p.set_defaults(func=cmd_gen)
 
+    defaults = MetasurfaceDesigner().get_params()
     p = sub.add_parser("train", help="train the designer network")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
-    p.add_argument("--split", type=float, default=TrainConfig.split)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patience", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=defaults["epochs"])
+    p.add_argument("--lr", type=float, default=defaults["learning_rate"])
+    p.add_argument("--dropout", type=float, default=defaults["dropout"])
+    p.add_argument("--split", type=float, default=0.7)
+    p.add_argument("--seed", type=int, default=defaults["seed"])
+    p.add_argument("--patience", type=int, default=defaults["patience"])
     p.add_argument("--model-out", required=True)
     p.add_argument("--report-out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a dataset")
-    p.add_argument("--model")
+    p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--oracle-stub", action="store_true",
-                   help="score labels against themselves (metric plumbing test hook)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="inverse-design a cell from a target document")
@@ -231,8 +235,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval" and not args.oracle_stub and not args.model:
-        parser.error("--model is required unless --oracle-stub is given")
     try:
         return args.func(parser, args)
     except (ValueError, CheckpointError, TrainingDivergedError, OSError) as exc:

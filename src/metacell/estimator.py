@@ -9,11 +9,45 @@ import numpy as np
 from . import network as nn
 from .features import INPUT_WIDTH, DesignTarget, assemble_input
 from .geometry import N_BITS, UnitCell, decode_bits, decode_soft
-from .validation import check_array, check_is_fitted
 
 
 class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite."""
+
+
+class NotFittedError(ValueError):
+    """Estimator used before fit()."""
+
+
+def check_array(X, width, name="X"):
+    """Coerce to a finite 2-D float array with the given column count.
+
+    A single sample may be passed 1-D and comes back as one row.
+    """
+    arr = np.asarray(X, dtype=float)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 1-D or 2-D, got ndim={arr.ndim}")
+    if arr.shape[1] != width:
+        raise ValueError(f"{name} must have {width} columns, got {arr.shape[1]}")
+    if arr.shape[0] == 0:
+        raise ValueError(f"{name} must contain at least one row")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
+def check_is_fitted(estimator, attribute="network_"):
+    if getattr(estimator, attribute, None) is None:
+        raise NotFittedError(
+            f"{type(estimator).__name__} is not fitted yet; call fit() first")
+
+
+def design(network: nn.Network, target: DesignTarget) -> UnitCell:
+    """Inverse-design a unit cell from a target via one network evaluation."""
+    proba = network.forward(assemble_input(target))
+    return decode_bits(decode_soft(proba))
 
 
 class MetasurfaceDesigner:
@@ -158,5 +192,4 @@ class MetasurfaceDesigner:
     def design(self, target: DesignTarget) -> UnitCell:
         """Inverse-design a unit cell for one target."""
         check_is_fitted(self)
-        proba = self.network_.forward(assemble_input(target))
-        return decode_bits(decode_soft(proba))
+        return design(self.network_, target)

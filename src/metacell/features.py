@@ -167,36 +167,6 @@ def assemble_input(target: DesignTarget) -> np.ndarray:
     return vec
 
 
-def target_from_input(values) -> DesignTarget:
-    """De-normalize a 24-element input vector; exact inverse within the caps."""
-    vec = np.asarray(values, dtype=float)
-    if vec.shape != (INPUT_WIDTH,):
-        raise ValueError(f"expected {INPUT_WIDTH} values, got shape {vec.shape}")
-    pols = []
-    for ipol in range(2):
-        feats = []
-        for slot in range(MAX_SLOTS_PER_POL):
-            base = (ipol * MAX_SLOTS_PER_POL + slot) * FEATURES_PER_SLOT
-            f_norm, d_norm, b_norm = vec[base:base + FEATURES_PER_SLOT]
-            if d_norm == 0.0:
-                continue
-            feats.append(NotchFeature(
-                frequency=F_START_GHZ + FREQ_SPAN_GHZ * f_norm,
-                depth=-DEPTH_CAP_DB * d_norm,
-                bandwidth=BANDWIDTH_CAP_GHZ * b_norm,
-            ))
-        pols.append(tuple(feats))
-    return DesignTarget(te=pols[0], tm=pols[1])
-
-
-def target_to_dict(target: DesignTarget) -> dict:
-    """Plain-dict form of a target, the CLI's JSON document schema."""
-    def fts(feats):
-        return [{"freq_ghz": ft.frequency, "depth_db": ft.depth,
-                 "bandwidth_ghz": ft.bandwidth} for ft in feats]
-    return {"te": fts(target.te), "tm": fts(target.tm)}
-
-
 def target_from_dict(doc: dict) -> DesignTarget:
     if not isinstance(doc, dict):
         raise ValueError("target document must be an object with 'te' and 'tm' arrays")

@@ -19,9 +19,6 @@ MATRIX_SIZE = GRID_SIZE * TILE_SIZE
 BITS_PER_SLOT = 3
 N_BITS = N_SLOTS * BITS_PER_SLOT
 
-# Lattice pitch, documentation only: 0.2 mm cells, 1.6 mm tiles, 6.4 mm unit cell.
-CELL_PITCH_MM = 0.2
-
 # Concentric square shells on the 8x8 lattice, center outward: 4, 12, 20, 28 cells.
 SHELL_SIZES = (4, 12, 20, 28)
 
@@ -86,9 +83,6 @@ class UnitCell:
     def grid(self) -> np.ndarray:
         return np.array(self.tiles, dtype=np.int64).reshape(GRID_SIZE, GRID_SIZE)
 
-    def tile_at(self, row: int, col: int) -> int:
-        return self.tiles[row * GRID_SIZE + col]
-
     def transpose(self) -> "UnitCell":
         return UnitCell(tuple(self.grid().T.ravel()))
 
@@ -115,7 +109,7 @@ def decode_bits(bits) -> UnitCell:
     arr = np.asarray(bits)
     if arr.shape != (N_BITS,):
         raise ValueError(f"expected {N_BITS} bits, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bit vector entries must be 0 or 1")
     tiles = arr.reshape(N_SLOTS, BITS_PER_SLOT).astype(np.int64) @ np.array([4, 2, 1])
     return UnitCell(tuple(tiles))

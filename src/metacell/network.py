@@ -22,12 +22,6 @@ class CheckpointError(ValueError):
     """Raised when checkpoint bytes cannot be parsed."""
 
 
-def relu(z):
-    """max(z, 0), elementwise."""
-    out = np.maximum(np.asarray(z, dtype=float), 0.0)
-    return out if out.ndim else float(out)
-
-
 def sigmoid(z):
     """1 / (1 + exp(-z)), evaluated without overflow for large |z|."""
     z = np.asarray(z, dtype=float)
@@ -95,10 +89,6 @@ class DenseLayer:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise ValueError("layer parameters must be finite")
 
-    def copy(self):
-        return DenseLayer(self.n_in, self.n_out, self.activation,
-                          weights=self.weights.copy(), biases=self.biases.copy())
-
 
 class DropoutLayer:
     """Inverted dropout: training zeroes each element with probability rate
@@ -111,31 +101,6 @@ class DropoutLayer:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-
-    def copy(self):
-        return DropoutLayer(self.rate)
-
-
-def dense_forward(layer: DenseLayer, x):
-    """Apply one dense layer to a vector (or batch of row vectors)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.n_in:
-        raise ValueError(f"input width {x.shape[-1]} != layer width {layer.n_in}")
-    z = x @ layer.weights.T + layer.biases
-    return _activate(layer.activation, z)
-
-
-def dropout_forward(layer: DropoutLayer, x, mode="infer", rng=None):
-    """Apply dropout; returns (output, mask).  Inference is the identity."""
-    x = np.asarray(x, dtype=float)
-    if mode == "infer":
-        return x, np.ones_like(x)
-    if mode != "train":
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= layer.rate).astype(float)
-    return x * mask / (1.0 - layer.rate), mask
 
 
 class Network:
@@ -175,11 +140,6 @@ class Network:
             params.append(layer.weights)
             params.append(layer.biases)
         return params
-
-    def copy(self):
-        net = Network([l.copy() for l in self.layers], seed=self.seed,
-                      train_seed=self.train_seed)
-        return net
 
     def forward(self, x, train=False, rng=None, dropout_masks=None):
         """Run the stack.  train=True records state for backward() and applies
@@ -304,7 +264,6 @@ def adam_step(params, grads, state: AdamState):
     return params, state
 
 
-_KINDS = {"dense": 0, "dropout": 1}
 _LAYER_STRUCT = struct.Struct("<BIIBd")
 _HEAD_STRUCT = struct.Struct("<4sIqqI")
 _ADAM_STRUCT = struct.Struct("<Qdddd")

@@ -1,17 +1,18 @@
-"""Dataset generation, train/test orchestration, evaluation, and closed-loop checks."""
+"""Datasets, evaluation and closed-loop verification.
+
+Training is MetasurfaceDesigner.fit (estimator.py).
+"""
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network as nn
-from .estimator import MetasurfaceDesigner
 from .features import DesignTarget, assemble_input, extract_notches, target_of_cell
-from .geometry import N_BITS, N_SLOTS, N_TILE_IDS, UnitCell, decode_bits, decode_soft, encode_bits
+from .geometry import N_BITS, N_SLOTS, N_TILE_IDS, UnitCell, encode_bits
 from .surrogate import SURROGATE_VERSION, Polarization, reflection_spectrum
 
 DATASET_FORMAT_VERSION = 1
@@ -28,49 +29,6 @@ class DatasetRecord:
     label: np.ndarray = field(repr=False)
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 5000
-    learning_rate: float = 3e-3
-    dropout: float = 0.2
-    split: float = 0.7
-    batch_size: int | None = None
-    seed: int = 0
-    patience: int | None = None
-    hidden: tuple = (64, 128, 256, 256, 128)
-
-    def __post_init__(self):
-        if not 0.0 < self.split < 1.0:
-            raise ValueError(f"split ratio must be in (0, 1), got {self.split}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-
-
-@dataclass
-class TrainReport:
-    """Per-epoch series plus run metadata; series lengths equal epochs run."""
-
-    train_mse: list
-    test_mse: list
-    per_bit_accuracy: list
-    wall_clock_sec: float
-    best_epoch: int
-    checkpoint_path: str | None = None
-
-    def to_csv(self) -> str:
-        lines = ["epoch,train_mse,test_mse,per_bit_acc"]
-        for i, (a, b, c) in enumerate(zip(self.train_mse, self.test_mse,
-                                          self.per_bit_accuracy), start=1):
-            lines.append(f"{i},{a:.8f},{b:.8f},{c:.6f}")
-        return "\n".join(lines) + "\n"
-
-
-def make_record(seed_index: int, cell: UnitCell) -> DatasetRecord:
-    """Label one cell through the surrogate and feature pipeline."""
-    vec = assemble_input(target_of_cell(cell))
-    return DatasetRecord(seed_index, cell, vec, encode_bits(cell))
-
-
 def generate_dataset(n: int, master_seed: int) -> list[DatasetRecord]:
     """n labeled records; record i depends only on (master_seed, i).
 
@@ -84,7 +42,8 @@ def generate_dataset(n: int, master_seed: int) -> list[DatasetRecord]:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=master_seed, spawn_key=(i,)))
         cell = UnitCell(tuple(rng.integers(0, N_TILE_IDS, N_SLOTS)))
-        records.append(make_record(i, cell))
+        vec = assemble_input(target_of_cell(cell))
+        records.append(DatasetRecord(i, cell, vec, encode_bits(cell)))
     return records
 
 
@@ -105,34 +64,52 @@ def dataset_text(records, master_seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_dataset(path, records, master_seed: int):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dataset_text(records, master_seed))
+def _json_object(line: str, ln: int) -> dict:
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {ln}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"line {ln}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def load_dataset(path) -> tuple[list[DatasetRecord], dict]:
-    """Read a dataset file back; returns (records, header)."""
+    """Read a dataset file back; returns (records, header).
+
+    Malformed lines raise ValueError("line N: ...").
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"dataset file {path} is empty")
-    header = json.loads(lines[0])
+    header = _json_object(lines[0], 1)
     if header.get("format_version") != DATASET_FORMAT_VERSION:
         raise ValueError(f"unsupported dataset format version {header.get('format_version')}")
+    if header.get("surrogate_version") != SURROGATE_VERSION:
+        raise ValueError(f"dataset was labeled by surrogate version "
+                         f"{header.get('surrogate_version')}, expected {SURROGATE_VERSION}")
     records = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        doc = json.loads(line)
-        label = np.array([int(c) for c in doc["label"]], dtype=np.uint8)
-        if label.shape != (N_BITS,):
-            raise ValueError(f"line {ln}: label must be {N_BITS} bits")
-        records.append(DatasetRecord(
-            seed_index=int(doc["seed_index"]),
-            cell=UnitCell(tuple(doc["tiles"])),
-            input=np.array(doc["input"], dtype=float),
-            label=label,
-        ))
+        doc = _json_object(line, ln)
+        try:
+            label = doc["label"]
+            if not isinstance(label, str) or len(label) != N_BITS:
+                raise ValueError(f"label must be a string of {N_BITS} 0/1 characters")
+            records.append(DatasetRecord(
+                seed_index=int(doc["seed_index"]),
+                cell=UnitCell(tuple(doc["tiles"])),
+                input=np.array(doc["input"], dtype=float),
+                label=np.array([int(c) for c in label], dtype=np.uint8),
+            ))
+        except KeyError as exc:
+            raise ValueError(f"line {ln}: record has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
+    if not records:
+        raise ValueError(f"dataset file {path} has no records")
     return records, header
 
 
@@ -149,33 +126,11 @@ def split(records, ratio: float = 0.7, seed: int = 0):
     return train, test
 
 
-def _stack(records):
+def stack_records(records):
+    """(X, Y): inputs (n, 24) and float 0/1 labels (n, 48) of a record list."""
     X = np.stack([r.input for r in records])
     Y = np.stack([r.label for r in records]).astype(float)
     return X, Y
-
-
-def train(train_records, test_records, config: TrainConfig | None = None):
-    """Fit the designer network; returns (best network, per-epoch report)."""
-    if config is None:
-        config = TrainConfig()
-    if not train_records or not test_records:
-        raise ValueError("train and test sets must be non-empty")
-    X, Y = _stack(train_records)
-    X_test, Y_test = _stack(test_records)
-    designer = MetasurfaceDesigner(
-        hidden=config.hidden, dropout=config.dropout,
-        learning_rate=config.learning_rate, epochs=config.epochs,
-        batch_size=config.batch_size, seed=config.seed, patience=config.patience)
-    designer.fit(X, Y, validation=(X_test, Y_test))
-    report = TrainReport(
-        train_mse=designer.train_mse_,
-        test_mse=designer.val_mse_,
-        per_bit_accuracy=designer.val_accuracy_,
-        wall_clock_sec=designer.fit_seconds_,
-        best_epoch=designer.best_epoch_,
-    )
-    return designer.network_, report
 
 
 def evaluate(network: nn.Network, records) -> dict:
@@ -187,7 +142,7 @@ def evaluate(network: nn.Network, records) -> dict:
     """
     if not records:
         raise ValueError("cannot evaluate on an empty record set")
-    X, Y = _stack(records)
+    X, Y = stack_records(records)
     proba = network.forward(X)
     return prediction_metrics(proba, Y)
 
@@ -209,19 +164,6 @@ def prediction_metrics(proba, labels) -> dict:
         "exact_cell_rate": float(correct.all(axis=1).mean()),
         "mse": nn.mse(proba, labels),
     }
-
-
-def constant_predictor_accuracy(records) -> float:
-    """Best per-bit accuracy any constant 48-bit output could score on records."""
-    Y = np.stack([r.label for r in records]).astype(float)
-    q = Y.mean(axis=0)
-    return float(np.maximum(q, 1.0 - q).mean())
-
-
-def design(network: nn.Network, target: DesignTarget) -> UnitCell:
-    """Inverse-design a cell from a target via one network evaluation."""
-    proba = network.forward(assemble_input(target))
-    return decode_bits(decode_soft(proba))
 
 
 @dataclass(frozen=True)
@@ -295,12 +237,3 @@ def verify_design(cell: UnitCell, target: DesignTarget,
     return VerificationReport(te=per_pol[Polarization.TE], tm=per_pol[Polarization.TM],
                               tolerance_ghz=tol_f)
 
-
-def design_latency(network: nn.Network, target: DesignTarget, calls: int = 100) -> float:
-    """Median wall-clock seconds per design() call."""
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        design(network, target)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))

@@ -97,13 +97,6 @@ class TestTrain:
 
 
 class TestEval:
-    def test_oracle_stub(self, dataset_file):
-        result = run_cli("eval", "--dataset", str(dataset_file), "--oracle-stub")
-        assert result.returncode == 0, result.stderr
-        assert "per_bit=1.000000" in result.stdout
-        assert "per_slot=1.000000" in result.stdout
-        assert "exact_cell=1.000000" in result.stdout
-
     def test_trained_model(self, dataset_file, trained_model):
         model, _, _ = trained_model
         result = run_cli("eval", "--model", str(model), "--dataset", str(dataset_file))
@@ -126,6 +119,41 @@ class TestEval:
         result = run_cli("eval", "--model", str(path), "--dataset", str(dataset_file))
         assert result.returncode == 1
         assert "magic" in result.stderr
+
+
+def malformed_datasets():
+    """(id, dataset text) pairs that train must refuse with one error line."""
+    header, record = pipeline.dataset_text(pipeline.generate_dataset(1, 0), 0).splitlines()
+    doc = json.loads(record)
+    no_label = {k: v for k, v in doc.items() if k != "label"}
+    stale = dict(json.loads(header), surrogate_version=-1)
+    cases = {
+        "record_is_list": [header, "[1, 2]"],
+        "record_without_label": [header, json.dumps(no_label)],
+        "integer_label": [header, json.dumps(dict(doc, label=5))],
+        "header_is_list": ["[1]", record],
+        "header_only": [header],
+        "other_surrogate_version": [json.dumps(stale), record],
+        "one_record": [header, record],
+    }
+    return [pytest.param("\n".join(lines) + "\n", id=name) for name, lines in cases.items()]
+
+
+class TestDatasetBoundary:
+    @pytest.mark.parametrize("text", malformed_datasets())
+    def test_train_refuses(self, tmp_path, text):
+        data = tmp_path / "d.jsonl"
+        data.write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        result = run_cli("train", "--dataset", str(data), "--epochs", "1",
+                         "--model-out", str(out / "m.ckpt"),
+                         "--report-out", str(out / "r.csv"))
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(out.iterdir()) == []
 
 
 class TestInfer:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from metacell.estimator import MetasurfaceDesigner, TrainingDivergedError
+from metacell.estimator import (
+    MetasurfaceDesigner,
+    NotFittedError,
+    TrainingDivergedError,
+    check_array,
+)
 from metacell.features import DesignTarget, NotchFeature
 from metacell.geometry import UnitCell
-from metacell.validation import NotFittedError, check_array
 
 
 def toy_data(n=32, seed=0):

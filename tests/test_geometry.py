@@ -128,9 +128,10 @@ class TestCodec:
         with pytest.raises(ValueError):
             decode_bits(np.zeros(47, dtype=np.uint8))
 
-    def test_non_binary(self):
-        bad = np.zeros(48)
-        bad[0] = 2
+    @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan, "1"])
+    def test_non_binary(self, value):
+        bad = np.zeros(48, dtype=object if isinstance(value, str) else float)
+        bad[0] = value
         with pytest.raises(ValueError):
             decode_bits(bad)
 

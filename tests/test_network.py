@@ -10,14 +10,23 @@ from metacell.network import (
     Network,
     adam_step,
     default_network,
-    dense_forward,
-    dropout_forward,
     load_checkpoint,
     mse,
-    relu,
     save_checkpoint,
     sigmoid,
 )
+
+
+def relu(z):
+    """A 1-wide relu dense layer with unit weight, so forward(z) = relu(z)."""
+    net = Network([DenseLayer(1, 1, "relu", weights=[[1.0]], biases=[0.0])])
+    return net.forward(np.array([z]))[0]
+
+
+def identity_then_dropout(width, rate):
+    """Identity dense layer before a dropout layer, so forward() shows the dropout alone."""
+    return Network([DenseLayer(width, width, "identity", weights=np.eye(width)),
+                    DropoutLayer(rate)])
 
 
 class TestActivations:
@@ -48,46 +57,46 @@ class TestDenseForward:
     def test_identity(self):
         layer = DenseLayer(3, 3, "identity", weights=np.eye(3), biases=np.zeros(3))
         x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(dense_forward(layer, x), x)
+        assert np.array_equal(Network([layer]).forward(x), x)
 
     def test_zero_weights_relu_bias(self):
         b = np.array([1.0, -1.0, 0.5])
         layer = DenseLayer(2, 3, "relu", weights=np.zeros((3, 2)), biases=b)
-        out = dense_forward(layer, np.array([5.0, 7.0]))
+        out = Network([layer]).forward(np.array([5.0, 7.0]))
         assert np.array_equal(out, np.maximum(b, 0.0))
 
     def test_hand_computed(self):
         layer = DenseLayer(2, 2, "identity",
                            weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
                            biases=np.array([1.0, -1.0]))
-        assert np.array_equal(dense_forward(layer, np.array([1.0, 1.0])),
+        assert np.array_equal(Network([layer]).forward(np.array([1.0, 1.0])),
                               np.array([4.0, 6.0]))
 
     def test_width_mismatch(self):
         layer = DenseLayer(3, 2, "relu", rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            dense_forward(layer, np.zeros(4))
+            Network([layer]).forward(np.zeros(4))
 
 
 class TestDropoutForward:
     def test_zero_rate_train_identity(self):
-        layer = DropoutLayer(0.0)
+        net = identity_then_dropout(100, 0.0)
         x = np.random.default_rng(0).normal(size=100)
-        out, mask = dropout_forward(layer, x, "train", np.random.default_rng(1))
+        out = net.forward(x, train=True, rng=np.random.default_rng(1))
+        (mask,) = net.recorded_masks()
         assert np.array_equal(out, x)
         assert mask.all()
 
     def test_infer_identity(self):
-        layer = DropoutLayer(0.7)
+        net = identity_then_dropout(100, 0.7)
         x = np.random.default_rng(0).normal(size=100)
-        out, mask = dropout_forward(layer, x, "infer")
-        assert np.array_equal(out, x)
-        assert mask.all()
+        assert np.array_equal(net.forward(x), x)
 
     def test_train_statistics(self):
-        layer = DropoutLayer(0.5)
-        x = np.ones(100_000)
-        out, mask = dropout_forward(layer, x, "train", np.random.default_rng(5))
+        net = identity_then_dropout(1, 0.5)
+        x = np.ones((100_000, 1))
+        out = net.forward(x, train=True, rng=np.random.default_rng(5))
+        (mask,) = net.recorded_masks()
         zero_fraction = (out == 0.0).mean()
         assert zero_fraction == pytest.approx(0.5, abs=0.01)
         assert np.allclose(out[out != 0.0], 2.0)

@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
+from metacell.estimator import MetasurfaceDesigner, design
 from metacell.features import DesignTarget, NotchFeature, target_of_cell
 from metacell.geometry import UnitCell, encode_bits
 from metacell.network import default_network
 from metacell.pipeline import (
-    TrainConfig,
-    TrainReport,
-    constant_predictor_accuracy,
-    design,
+    dataset_text,
     evaluate,
     generate_dataset,
     load_dataset,
     prediction_metrics,
-    save_dataset,
     split,
-    train,
+    stack_records,
     verify_design,
 )
 
@@ -68,7 +65,7 @@ class TestGenerateDataset:
 class TestDatasetFile:
     def test_round_trip(self, small_dataset, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_dataset(path, small_dataset, 1234)
+        path.write_text(dataset_text(small_dataset, 1234))
         loaded, header = load_dataset(path)
         assert header["master_seed"] == 1234
         assert header["format_version"] == 1
@@ -119,41 +116,36 @@ class TestSplit:
             split(small_dataset, 1.0, 0)
 
 
+def fit(train_records, val_records, **params):
+    X, Y = stack_records(train_records)
+    return MetasurfaceDesigner(**params).fit(X, Y, validation=stack_records(val_records))
+
+
 class TestTrain:
     def test_toy_overfit(self, small_dataset):
-        cfg = TrainConfig(epochs=200, learning_rate=1e-2, dropout=0.0, seed=0)
-        net, report = train(small_dataset[:10], small_dataset[10:20], cfg)
-        assert report.train_mse[-1] < report.train_mse[0]
-        assert len(report.train_mse) == len(report.test_mse) == 200
-        assert len(report.per_bit_accuracy) == 200
-        assert all(0.0 <= a <= 1.0 for a in report.per_bit_accuracy)
+        model = fit(small_dataset[:10], small_dataset[10:20],
+                    epochs=200, learning_rate=1e-2, dropout=0.0, seed=0)
+        assert model.train_mse_[-1] < model.train_mse_[0]
+        assert len(model.train_mse_) == len(model.val_mse_) == 200
+        assert len(model.val_accuracy_) == 200
+        assert all(0.0 <= a <= 1.0 for a in model.val_accuracy_)
 
     def test_deterministic(self, small_dataset):
-        cfg = TrainConfig(epochs=20, seed=9)
-        net1, rep1 = train(small_dataset[:30], small_dataset[30:], cfg)
-        net2, rep2 = train(small_dataset[:30], small_dataset[30:], cfg)
-        assert rep1.train_mse == rep2.train_mse
-        for a, b in zip(net1.parameters(), net2.parameters()):
+        m1 = fit(small_dataset[:30], small_dataset[30:], epochs=20, seed=9)
+        m2 = fit(small_dataset[:30], small_dataset[30:], epochs=20, seed=9)
+        assert m1.train_mse_ == m2.train_mse_
+        for a, b in zip(m1.network_.parameters(), m2.network_.parameters()):
             assert np.array_equal(a, b)
 
     def test_returns_best_accuracy_network(self, small_dataset):
-        cfg = TrainConfig(epochs=30, seed=0)
-        net, report = train(small_dataset[:30], small_dataset[30:], cfg)
-        metrics = evaluate(net, small_dataset[30:])
-        assert metrics["per_bit_accuracy"] == pytest.approx(max(report.per_bit_accuracy))
+        model = fit(small_dataset[:30], small_dataset[30:], epochs=30, seed=0)
+        metrics = evaluate(model.network_, small_dataset[30:])
+        assert metrics["per_bit_accuracy"] == pytest.approx(max(model.val_accuracy_))
 
     def test_rejects_empty(self, small_dataset):
-        with pytest.raises(ValueError):
-            train([], small_dataset, TrainConfig(epochs=1))
-
-    def test_report_csv(self):
-        report = TrainReport(train_mse=[0.5, 0.4], test_mse=[0.6, 0.5],
-                             per_bit_accuracy=[0.5, 0.6], wall_clock_sec=1.0,
-                             best_epoch=1)
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "epoch,train_mse,test_mse,per_bit_acc"
-        assert lines[1].startswith("1,0.5")
-        assert len(lines) == 3
+        X, Y = stack_records(small_dataset)
+        with pytest.raises(ValueError, match="at least one row"):
+            MetasurfaceDesigner(epochs=1).fit(X[:0], Y[:0], validation=(X, Y))
 
 
 class OracleStub:
@@ -198,13 +190,6 @@ class TestEvaluate:
                                      rng.integers(0, len(small_dataset), 20)])
             assert metrics["exact_cell_rate"] <= metrics["per_slot_accuracy"] + 1e-12
             assert metrics["per_slot_accuracy"] <= metrics["per_bit_accuracy"] + 1e-12
-
-    def test_constant_predictor_baseline(self, small_dataset):
-        base = constant_predictor_accuracy(small_dataset)
-        Y = np.stack([r.label for r in small_dataset]).astype(float)
-        q = Y.mean(axis=0)
-        assert base == pytest.approx(np.maximum(q, 1 - q).mean())
-        assert 0.5 <= base <= 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
