@@ -192,4 +192,4 @@ class MetasurfaceDesigner:
     def design(self, target: DesignTarget) -> UnitCell:
         """Inverse-design a unit cell for one target."""
         check_is_fitted(self)
-        return design(self.network_, target)
+        return design(self.network_, target)  # the module function, shared with `infer`
